@@ -11,6 +11,11 @@
 //! * [`PiggybackRs`] — the repair-bandwidth-optimal third family: a
 //!   2-substripe piggybacked RS at RS storage whose single-data-loss
 //!   repairs read ~0.67x the bytes.
+//! * [`Replication`] — the `f`-way replication baseline as a
+//!   repetition code behind the same trait.
+//! * [`CodecInstance`] — the one codec handle: built from a
+//!   [`CodeSpec`], field chosen by blocklength, used as a
+//!   `dyn ErasureCodec` through `Deref`.
 //! * [`analysis`] — brute-force ground truth: minimum distance
 //!   (Definition 1), block locality (Definition 2), and the expected
 //!   single-repair read counts that drive the §4 reliability model.
@@ -23,6 +28,7 @@
 //! | Paper | Item | What it provides |
 //! |---|---|---|
 //! | §2.1 / App. D codes | [`Lrc`], [`ReedSolomon`] | the two contenders, Appendix-D constructions |
+//! | §3, §4 baselines | [`CodecInstance`], [`Replication`] | one handle per spec; replication as a codec |
 //! | §3.1.2 decoders | [`ErasureCodec`], [`peeling`] | light/heavy repair planning and execution |
 //! | §3.1.2 hot path | [`ErasureCodec::encode_into`], [`RepairSession`], [`StripeViewMut`] | the zero-copy surface (see `docs/ARCHITECTURE.md`) |
 //! | Defs. 1–2 | [`analysis`] | brute-force distance / locality ground truth |
@@ -57,12 +63,14 @@ pub mod bounds;
 mod codec;
 pub mod construction;
 mod error;
+mod handle;
 mod linear;
 mod lrc;
 mod parallel;
 pub mod peeling;
 mod piggyback;
 mod reed_solomon;
+mod replication;
 mod session;
 mod spec;
 
@@ -70,11 +78,13 @@ pub use codec::{
     ErasureCodec, LaneMask, RepairPlan, RepairReport, RepairTask, StripeView, StripeViewMut,
 };
 pub use error::{CodeError, Result};
+pub use handle::CodecInstance;
 pub use linear::decode_solve_count;
 pub use lrc::Lrc;
 pub use parallel::encode_into_parallel;
 pub use piggyback::PiggybackRs;
 pub use reed_solomon::ReedSolomon;
+pub use replication::Replication;
 
 /// A Reed-Solomon codec over GF(2^16) — for wide stripes past GF(2^8)'s
 /// 255-lane ceiling (e.g. [`CodeSpec::RS_200_60`]).

@@ -8,6 +8,10 @@
 
 use crate::error::{CodeError, Result};
 
+/// Largest blocklength any codec here builds: GF(2^16) has `q - 1 =
+/// 65535` nonzero evaluation points.
+const MAX_BLOCKLENGTH: usize = 65535;
+
 /// Geometry of an LRC: which blocks exist and how they are grouped.
 ///
 /// Using the paper's notation, this describes a `(k, n - k, r)` code
@@ -241,6 +245,82 @@ impl CodeSpec {
         }
     }
 
+    /// Validates that a codec can be built for this spec, without
+    /// building one: `k` and `m` positive, at least 2 replicas, a
+    /// piggyback with a clean parity plus at least one piggybacked
+    /// (`m >= 2`), a valid [`LrcSpec`], and a blocklength within
+    /// GF(2^16)'s `q - 1 = 65535` evaluation points.
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |why: &str| Err(CodeError::InvalidParameters(why.into()));
+        match *self {
+            CodeSpec::Replication { replicas } if replicas < 2 => {
+                return invalid("replication needs at least 2 copies");
+            }
+            CodeSpec::ReedSolomon { k, m } if k == 0 || m == 0 => {
+                return invalid("k and m must be positive");
+            }
+            CodeSpec::Piggyback { k, m } if k == 0 || m < 2 => {
+                return invalid("piggybacked RS needs k >= 1 and m >= 2");
+            }
+            CodeSpec::Lrc(spec) => spec.validate()?,
+            _ => {}
+        }
+        if self.total_blocks() > MAX_BLOCKLENGTH {
+            return Err(CodeError::InvalidParameters(format!(
+                "blocklength {} exceeds GF(2^16)'s {MAX_BLOCKLENGTH}",
+                self.total_blocks()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Which positions of a stripe with `real_data` data blocks are
+    /// structurally zero and therefore not stored (§3.1.1 zero padding).
+    ///
+    /// Data positions beyond `real_data` are virtual; a local parity is
+    /// virtual when its whole group is virtual (its XOR would be the
+    /// zero block); global parities are always stored.
+    pub fn virtual_mask(&self, real_data: usize) -> Vec<bool> {
+        let mut out = Vec::new();
+        self.virtual_mask_into(real_data, &mut out);
+        out
+    }
+
+    /// Allocation-free variant of [`CodeSpec::virtual_mask`]: fills a
+    /// caller-reused buffer (cleared first). The namespace loader calls
+    /// this once per stripe, so warehouse-scale loads stay free of
+    /// per-stripe allocation.
+    pub fn virtual_mask_into(&self, real_data: usize, out: &mut Vec<bool>) {
+        out.clear();
+        match *self {
+            CodeSpec::Replication { replicas } => out.resize(replicas, false),
+            // The piggybacked RS shares the RS lane layout; its parities
+            // are always stored (a piggyback of virtual zero lanes is
+            // just the clean RS parity).
+            CodeSpec::ReedSolomon { k, m } | CodeSpec::Piggyback { k, m } => {
+                out.extend((0..k + m).map(|p| p < k && p >= real_data));
+            }
+            CodeSpec::Lrc(spec) => {
+                let k = spec.k;
+                let g = spec.global_parities;
+                let n = spec.total_blocks();
+                out.extend((0..n).map(|p| {
+                    if p < k {
+                        p >= real_data
+                    } else if p < k + g {
+                        false // global parities
+                    } else if p < k + g + spec.data_groups() {
+                        // S_t is zero when its group holds no real data.
+                        let t = p - k - g;
+                        t * spec.group_size >= real_data
+                    } else {
+                        false // stored parity-group parity
+                    }
+                }));
+            }
+        }
+    }
+
     /// Human-readable name in the paper's style.
     pub fn name(&self) -> String {
         match *self {
@@ -368,6 +448,69 @@ mod tests {
             ..LrcSpec::XORBAS
         };
         assert!(zero.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_specs() {
+        for ok in [
+            CodeSpec::REPLICATION_3,
+            CodeSpec::RS_10_4,
+            CodeSpec::LRC_10_6_5,
+            CodeSpec::LRC_WIDE,
+            CodeSpec::PB_200_60,
+        ] {
+            ok.validate().unwrap();
+        }
+        for bad in [
+            CodeSpec::Replication { replicas: 1 },
+            CodeSpec::ReedSolomon { k: 0, m: 4 },
+            CodeSpec::ReedSolomon { k: 10, m: 0 },
+            CodeSpec::Piggyback { k: 10, m: 1 },
+            CodeSpec::Lrc(LrcSpec {
+                group_size: 3,
+                ..LrcSpec::XORBAS
+            }),
+            CodeSpec::ReedSolomon { k: 40000, m: 40000 },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+        // The field's last point is still buildable geometry.
+        CodeSpec::ReedSolomon { k: 65000, m: 535 }
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
+    fn masks_for_full_stripes_are_all_real() {
+        for spec in [CodeSpec::RS_10_4, CodeSpec::LRC_10_6_5] {
+            assert!(spec.virtual_mask(10).iter().all(|&v| !v));
+        }
+        assert_eq!(CodeSpec::REPLICATION_3.virtual_mask(1), vec![false; 3]);
+    }
+
+    #[test]
+    fn rs_mask_pads_missing_data_only() {
+        let mask = CodeSpec::RS_10_4.virtual_mask(3);
+        assert_eq!(mask.iter().filter(|&&v| v).count(), 7);
+        assert!(!mask[0] && !mask[2]);
+        assert!(mask[3] && mask[9]);
+        assert!(!mask[10] && !mask[13]); // parities stored
+                                         // The piggybacked RS shares the RS lane layout.
+        assert_eq!(CodeSpec::PB_10_4.virtual_mask(3), mask);
+    }
+
+    #[test]
+    fn lrc_mask_drops_empty_group_local_parity() {
+        // 3 real data blocks: group 2 (positions 5..10) is entirely
+        // virtual, so S2 (position 15) is virtual too.
+        let mask = CodeSpec::LRC_10_6_5.virtual_mask(3);
+        assert!(!mask[14], "S1 has real members");
+        assert!(mask[15], "S2 covers only padding");
+        assert!(mask[4] && mask[9]);
+        assert!(!mask[10] && !mask[13]);
+        // 6 real data groups -> both locals real.
+        let mask6 = CodeSpec::LRC_10_6_5.virtual_mask(6);
+        assert!(!mask6[14] && !mask6[15]);
     }
 
     #[test]

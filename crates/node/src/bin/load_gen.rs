@@ -24,14 +24,13 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xorbas_core::{CodeSpec, LrcSpec};
+use xorbas_core::{CodeSpec, CodecInstance, LrcSpec};
 use xorbas_node::client::ReadKind;
 use xorbas_node::repair::ScrubConfig;
 use xorbas_node::{
     fault, ChunkServer, ClusterClient, Directory, FaultPlan, Manifest, NodeError, RepairAgent,
     RepairAgentConfig, RepairStatsSnapshot, RetryPolicy, ServerConfig, Site,
 };
-use xorbas_sim::codecs::CodecInstance;
 use xorbas_sim::{PercentileSummary, Percentiles};
 
 type AnyError = Box<dyn Error>;

@@ -279,6 +279,10 @@ mod tests {
 
     #[test]
     fn put_get_delete_round_trip() {
+        // Every test that writes chunks holds the fault-plan lock, so a
+        // plan armed by `fault_sites_tear_and_rot_as_specified` cannot
+        // tear its puts.
+        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
         let dir = scratch_dir("roundtrip");
         let store = ChunkStore::open(&dir).unwrap();
         let payload = vec![0xABu8; 4096];
@@ -310,6 +314,7 @@ mod tests {
     /// the stored chunk is one whole put, never an interleaving.
     #[test]
     fn concurrent_puts_of_one_chunk_never_tear() {
+        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
         let dir = scratch_dir("race");
         let store = ChunkStore::open(&dir).unwrap();
         let a = vec![0x11u8; 32 * 1024];
@@ -332,6 +337,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected_on_read() {
+        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
         let dir = scratch_dir("corrupt");
         let store = ChunkStore::open(&dir).unwrap();
         let payload = vec![0x5Au8; 1024];
@@ -354,6 +360,7 @@ mod tests {
 
     #[test]
     fn truncated_and_mislabeled_files_are_corrupt() {
+        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
         let dir = scratch_dir("trunc");
         let store = ChunkStore::open(&dir).unwrap();
         let payload = vec![9u8; 512];
@@ -386,6 +393,7 @@ mod tests {
     /// whole, and the torn put must never be servable.
     #[test]
     fn startup_sweeps_torn_and_orphaned_temps() {
+        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
         let dir = scratch_dir("crash");
         let payload = vec![0x3Cu8; 2048];
         let digest = chunk_digest(&payload);
@@ -423,6 +431,7 @@ mod tests {
 
     #[test]
     fn list_chunks_walks_exactly_the_chunk_files() {
+        let _guard = crate::lock(&fault::TEST_PLAN_LOCK);
         let dir = scratch_dir("list");
         let store = ChunkStore::open(&dir).unwrap();
         let payload = vec![1u8; 64];

@@ -4,8 +4,9 @@
 //! **Put** splits the file into stripes and runs a two-stage pipeline
 //! over a scoped encoder thread: while stripe `i` streams to the chunk
 //! servers, stripe `i+1` is being filled, encoded
-//! ([`CodecInstance::encode_into`]) and digested. Two recycled buffer
-//! sets bound memory at two stripes regardless of file size.
+//! ([`ErasureCodec::encode_into`](xorbas_core::ErasureCodec::encode_into))
+//! and digested. Two recycled buffer sets bound memory at two stripes
+//! regardless of file size.
 //!
 //! **Get** reads data lanes straight from their servers, verifying the
 //! digest end to end. Any failure — connection refused, a dead server
@@ -31,8 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xorbas_core::{CodeSpec, RepairSession, StripeViewMut};
-use xorbas_sim::codecs::CodecInstance;
+use xorbas_core::{CodecInstance, RepairSession, StripeViewMut};
 use xorbas_sim::fasthash::FastMap;
 
 /// How hard to try when a connection does not come up at once.
@@ -264,26 +264,25 @@ pub struct SessionCache {
 
 impl SessionCache {
     /// Returns the cached session for `unavailable` (sorted lane
-    /// indices), compiling and caching on first sight. `Ok(None)` for
-    /// codecs without a session decoder (replication).
+    /// indices), compiling and caching on first sight.
+    pub fn get(&self, codec: &CodecInstance, unavailable: &[usize]) -> Result<Arc<RepairSession>> {
+        let mut map = lock(&self.inner);
+        if let Some(s) = map.get(unavailable) {
+            return Ok(Arc::clone(s));
+        }
+        let session = Arc::new(codec.as_dyn().repair_session(unavailable)?);
+        map.insert(unavailable.to_vec(), Arc::clone(&session));
+        Ok(session)
+    }
+
+    /// [`SessionCache::get`], always `Some`: the `Option` is kept for
+    /// perfbench's cluster driver, which unwraps it.
     pub fn get_or_compile(
         &self,
         codec: &CodecInstance,
         unavailable: &[usize],
     ) -> Result<Option<Arc<RepairSession>>> {
-        let mut map = lock(&self.inner);
-        if let Some(s) = map.get(unavailable) {
-            return Ok(Some(Arc::clone(s)));
-        }
-        match codec.repair_session(unavailable) {
-            None => Ok(None),
-            Some(Ok(session)) => {
-                let session = Arc::new(session);
-                map.insert(unavailable.to_vec(), Arc::clone(&session));
-                Ok(Some(session))
-            }
-            Some(Err(e)) => Err(e.into()),
-        }
+        self.get(codec, unavailable).map(Some)
     }
 
     /// Number of compiled patterns.
@@ -630,42 +629,8 @@ impl ClusterClient {
             let mut unavailable = std::mem::take(&mut self.unavailable_scratch);
             lock(&self.directory).unavailable_lanes(stripe, &mut unavailable)?;
 
-            if matches!(self.codec.spec(), CodeSpec::Replication { .. }) {
-                // Replication "repair" = read any surviving replica.
-                for lane in 0..n {
-                    if unavailable.contains(&lane) {
-                        continue;
-                    }
-                    let mut buf = std::mem::take(&mut self.stripe_scratch[0]);
-                    let res = self.read_chunk_direct(stripe, lane as u32, &mut buf);
-                    if res.is_ok() {
-                        // Replicas are identical: surface the bytes on
-                        // every lane the caller is about to read.
-                        for &t in targets {
-                            if t != 0 {
-                                if let Some(dst) = self.stripe_scratch.get_mut(t) {
-                                    dst.clear();
-                                    dst.extend_from_slice(&buf);
-                                }
-                            }
-                        }
-                    }
-                    self.stripe_scratch[0] = buf;
-                    if res.is_ok() {
-                        self.unavailable_scratch = unavailable;
-                        return Ok(true);
-                    }
-                }
-                self.unavailable_scratch = unavailable;
-                return Err(NodeError::Malformed("no surviving replica to read"));
-            }
-
-            let session = match self.sessions.get_or_compile(&self.codec, &unavailable) {
-                Ok(Some(s)) => s,
-                Ok(None) => {
-                    self.unavailable_scratch = unavailable;
-                    return Err(NodeError::Malformed("codec has no repair session"));
-                }
+            let session = match self.sessions.get(&self.codec, &unavailable) {
+                Ok(s) => s,
                 Err(e) => {
                     self.unavailable_scratch = unavailable;
                     return Err(e);

@@ -135,14 +135,8 @@ impl Manifest {
         };
         // A hostile spec or chunk size must die here, not downstream:
         // stripe_payload() and scratch sizing multiply these together.
-        let spec_ok = match spec {
-            CodeSpec::Replication { replicas } => replicas >= 1,
-            CodeSpec::ReedSolomon { k, m } => k >= 1 && m >= 1,
-            CodeSpec::Lrc(lrc) => lrc.validate().is_ok(),
-            // The piggyback needs a clean parity plus >= 1 piggybacked.
-            CodeSpec::Piggyback { k, m } => k >= 1 && m >= 2,
-        };
-        if !spec_ok {
+        // Decode builds no codec: validation checks the geometry only.
+        if spec.validate().is_err() {
             return Err(NodeError::Malformed("invalid code spec parameters"));
         }
         let chunk_bytes = c.u64()?;
@@ -355,6 +349,21 @@ mod tests {
         // A piggyback without its clean parity 0 plus one piggybacked
         // parity cannot build its fast repair path.
         let m = sample(CodeSpec::Piggyback { k: 10, m: 1 });
+        assert!(matches!(
+            Manifest::decode(&m.encode()).unwrap_err(),
+            NodeError::Malformed("invalid code spec parameters")
+        ));
+
+        // Specs no codec can be built for: a single copy, and (in a
+        // zero-stripe manifest, so no lane count trips first) a
+        // blocklength past GF(2^16).
+        let m = sample(CodeSpec::Replication { replicas: 1 });
+        assert!(matches!(
+            Manifest::decode(&m.encode()).unwrap_err(),
+            NodeError::Malformed("invalid code spec parameters")
+        ));
+        let mut m = sample(CodeSpec::ReedSolomon { k: 40000, m: 40000 });
+        m.stripes.clear();
         assert!(matches!(
             Manifest::decode(&m.encode()).unwrap_err(),
             NodeError::Malformed("invalid code spec parameters")

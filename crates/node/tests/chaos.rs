@@ -9,14 +9,13 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, CodecInstance};
 use xorbas_node::client::SessionCache;
 use xorbas_node::repair::ScrubConfig;
 use xorbas_node::{
     fault, ChunkServer, ClusterClient, Directory, FaultPlan, RepairAgent, RepairAgentConfig,
     RetryPolicy, ServerConfig, Site,
 };
-use xorbas_sim::codecs::CodecInstance;
 
 const CHUNK: usize = 64 * 1024;
 

@@ -8,13 +8,12 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, CodecInstance};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{
     ChunkServer, ClusterClient, Directory, NodeConn, NodeError, RepairAgent, RepairAgentConfig,
-    RetryPolicy, ServerConfig,
+    RepairStatsSnapshot, RetryPolicy, ServerConfig,
 };
-use xorbas_sim::codecs::CodecInstance;
 
 const CHUNK: usize = 64 * 1024;
 
@@ -224,41 +223,76 @@ fn checksum_mismatch_routes_into_degraded_read() {
     cluster.teardown();
 }
 
+/// The agent's counters once it has counted `chunks` repairs: a worker
+/// re-places a chunk in the directory just before it reports it, so
+/// they can trail `wait_until_repaired` by a moment.
+fn settled_stats(agent: &RepairAgent, chunks: u64) -> RepairStatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = agent.stats();
+        if stats.chunks_repaired >= chunks || Instant::now() >= deadline {
+            return stats;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Repair traffic per lost chunk, measured over real sockets. The coded
+/// specs lose one chunk to a corruption report; 3-replication loses a
+/// whole server and repairs through the same session path, each lost
+/// replica copied from one survivor.
 #[test]
 fn lrc_light_repair_moves_fewer_bytes_than_rs() {
     let mut fetched = Vec::new();
-    for (spec, tag) in [(CodeSpec::LRC_10_6_5, "lrc"), (CodeSpec::RS_10_4, "rs")] {
+    for (spec, tag, reads_per_loss) in [
+        (CodeSpec::LRC_10_6_5, "lrc", 5),
+        (CodeSpec::RS_10_4, "rs", 10),
+        (CodeSpec::REPLICATION_3, "rep", 1),
+    ] {
         let cluster = Cluster::boot(5, tag);
         let mut client = cluster.client(spec);
-        let data = test_file(spec.data_blocks() * CHUNK);
+        let replicated = matches!(spec, CodeSpec::Replication { .. });
+        let stripes = if replicated { 4 } else { 1 };
+        let data = test_file(stripes * spec.data_blocks() * CHUNK);
         let manifest = client.put(&data).unwrap();
-        let stripe = manifest.stripes[0].id;
+        let stripe = &manifest.stripes[0];
 
-        cluster.lock_dir().report_corrupt(stripe, 0);
+        let lost = if replicated {
+            let victim = stripe.servers[0];
+            cluster.servers[victim].kill();
+            manifest
+                .stripes
+                .iter()
+                .flat_map(|s| &s.servers)
+                .filter(|&&sid| sid == victim)
+                .count() as u64
+        } else {
+            cluster.lock_dir().report_corrupt(stripe.id, 0);
+            1
+        };
+        let mut buf = Vec::new();
+        let report = client.get(&manifest, &mut buf).unwrap();
+        assert_eq!(buf, data, "{tag}: reads with a lost chunk");
+        assert!(report.degraded_stripes >= 1, "{tag}");
+
         let agent = cluster.agent(spec);
-        assert!(agent.wait_until_repaired(Duration::from_secs(30)));
-        let stats = agent.stats();
-        assert_eq!(stats.chunks_repaired, 1);
+        assert!(agent.wait_until_repaired(Duration::from_secs(30)), "{tag}");
+        let stats = settled_stats(&agent, lost);
         agent.shutdown();
+        assert_eq!(stats.chunks_repaired, lost, "{tag}");
+        assert_eq!(
+            stats.bytes_fetched,
+            reads_per_loss * lost * CHUNK as u64,
+            "{tag}: {reads_per_loss} chunks fetched per lost chunk"
+        );
         fetched.push(stats.bytes_fetched);
 
-        let mut buf = Vec::new();
         client.get(&manifest, &mut buf).unwrap();
-        assert_eq!(buf, data);
+        assert_eq!(buf, data, "{tag}: bit-identical after repair");
         cluster.teardown();
     }
     // The paper's Table: LRC repairs a single loss from its 5-lane
     // local group; RS must read k = 10 lanes.
-    assert_eq!(
-        fetched[0],
-        5 * CHUNK as u64,
-        "LRC light repair reads 5 chunks"
-    );
-    assert_eq!(
-        fetched[1],
-        10 * CHUNK as u64,
-        "RS repair reads k = 10 chunks"
-    );
     assert!(fetched[0] < fetched[1]);
 }
 

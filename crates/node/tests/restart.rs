@@ -9,10 +9,9 @@
 use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, CodecInstance};
 use xorbas_node::client::SessionCache;
 use xorbas_node::{ChunkServer, ClusterClient, Directory, RetryPolicy, ServerConfig};
-use xorbas_sim::codecs::CodecInstance;
 
 const CHUNK: usize = 64 * 1024;
 const N: usize = 5;

@@ -9,10 +9,9 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xorbas_core::CodeSpec;
+use xorbas_core::{CodeSpec, CodecInstance};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{ChunkServer, ClusterClient, Directory, RetryPolicy, ServerConfig};
-use xorbas_sim::codecs::CodecInstance;
 use xorbas_sim::{Percentiles, ZipfSampler};
 
 use rand::rngs::StdRng;

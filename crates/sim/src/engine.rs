@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 //!
 //! Ties together the namespace ([`crate::hdfs`]), the flow-level network
-//! ([`crate::network`]), the codecs ([`crate::codecs`]) and the metrics
+//! ([`crate::network`]), the codec handle ([`CodecInstance`]) and the metrics
 //! ([`crate::metrics`]) into the §3 system model:
 //!
 //! * a **BlockFixer** that detects lost blocks after a detection delay,
@@ -42,10 +42,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use xorbas_core::{CodeError, RepairPlan, RepairSession, StripeViewMut};
+use xorbas_core::{CodeError, CodecInstance, RepairPlan, RepairSession, StripeViewMut};
 
 use crate::arena::StripeArena;
-use crate::codecs::CodecInstance;
 use crate::config::{ReadPolicy, SimConfig};
 use crate::fasthash::{FastMap, FastSet};
 use crate::hdfs::{BlockId, FileId, Hdfs, NodeId, Placement, Position, StripeId};
@@ -380,8 +379,8 @@ impl Simulation {
         }
     }
 
-    /// [`CodecInstance::repair_plan_for`] through the pattern memo:
-    /// recoverable plans are cached once and shared out by `Rc`;
+    /// [`repair_plan_for`](xorbas_core::ErasureCodec::repair_plan_for)
+    /// through the pattern memo: recoverable plans are cached once and shared out by `Rc`;
     /// unrecoverable patterns stay uncached (they abandon the stripe
     /// exactly once). Hits allocate nothing: the key is encoded into a
     /// reused scratch buffer (`usize::MAX` separates the two index
@@ -526,7 +525,7 @@ impl Simulation {
                         }
                     })
                     .collect();
-                match self.codec.encode_payloads(&data) {
+                match self.codec.encode_stripe(&data) {
                     Ok(stripe) => {
                         payload_table.insert(base + j, stripe);
                     }
@@ -541,7 +540,6 @@ impl Simulation {
                 }
             }
         }
-        let codec = self.codec.clone();
         let verify = self.cfg.verify_payloads;
         let pad_locals = self.cfg.pad_local_parities;
         self.hdfs
@@ -554,7 +552,7 @@ impl Simulation {
                 &self.alive,
                 &mut self.rng,
                 |real, mask| {
-                    codec.virtual_mask_into(real, mask);
+                    code.virtual_mask_into(real, mask);
                     if pad_locals {
                         // Deployed HDFS-Xorbas stored all-zero local
                         // parities; only data padding stays virtual.
@@ -1859,30 +1857,6 @@ impl Simulation {
             debug_assert!(false, "verify mode stores payloads");
             return;
         };
-        if let CodecInstance::Replication { .. } = codec {
-            // Replication repair is a replica copy; verify against any
-            // surviving replica's payload.
-            let survivor = positions.iter().enumerate().find_map(|(pos, p)| match p {
-                Position::Real(b) if pos != target_pos => {
-                    let bm = hdfs.block(*b);
-                    if bm.location.is_some() {
-                        hdfs.payload(*b)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            });
-            let Some(survivor) = survivor else {
-                debug_assert!(false, "a replica survives any repaired loss");
-                return;
-            };
-            assert_eq!(
-                survivor, want,
-                "repair of block {block} corrupted its payload"
-            );
-            return;
-        }
         let n = positions.len();
         let len = this.cfg.payload_bytes;
         let lanes = this.stripe_arena.lanes(n, len);
@@ -1912,10 +1886,10 @@ impl Simulation {
         let session = match this.session_cache.entry(missing.clone()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(slot) => {
-                // Replication was handled above and a block was just
-                // repaired, so this pattern must compile; if it does
-                // not, skip verification rather than poison the cache.
-                let Some(Ok(session)) = codec.repair_session(&missing) else {
+                // A block was just repaired, so this pattern must
+                // compile; if it does not, skip verification rather
+                // than poison the cache.
+                let Ok(session) = codec.as_dyn().repair_session(&missing) else {
                     debug_assert!(false, "repaired erasure patterns compile to sessions");
                     return;
                 };

@@ -8,9 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xorbas_core::{CodeError, CodeSpec};
+use xorbas_core::{CodeError, CodeSpec, CodecInstance};
 
-use crate::codecs::CodecInstance;
 use crate::config::{ClusterScale, ReadPolicy, SimConfig};
 use crate::engine::Simulation;
 use crate::failures::{sample_day_failures, TraceConfig};

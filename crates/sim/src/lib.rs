@@ -22,7 +22,6 @@
 //! | §5.1 metrics | [`metrics`] | bytes read / network traffic / repair duration, Fig.-5 series |
 //! | §5.2–5.3 experiments | [`experiment`] | Figs. 4–7, Table 2/3 drivers, warehouse Monte-Carlo |
 //! | Fig. 1 failure trace | [`failures`] | overdispersed node-failure process |
-//! | §2.1 / §3.1.2 codecs | [`codecs`] | bridge to `xorbas_core` repair planning |
 //! | §5.2.4 degraded reads | [`workload`] | Zipf/hot-spot client reads, serve policies, Rashmi et al. pin |
 //! | — | [`config`] | cluster presets incl. the 3000-node [`config::ClusterScale`] |
 //! | — | [`time`], [`arena`], [`fasthash`] | µs clock, lane reuse, hot-map hashing |
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod codecs;
 pub mod config;
 pub mod engine;
 pub mod experiment;
@@ -58,7 +56,6 @@ pub mod time;
 pub mod workload;
 
 pub use arena::StripeArena;
-pub use codecs::CodecInstance;
 pub use config::{ClusterConfig, ClusterScale, ComputeRates, ReadPolicy, SimConfig};
 pub use engine::Simulation;
 pub use experiment::{
@@ -74,3 +71,4 @@ pub use time::SimTime;
 pub use workload::{
     ServePolicy, WorkloadConfig, ZipfSampler, RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION,
 };
+pub use xorbas_core::CodecInstance;

@@ -18,8 +18,7 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xorbas::codes::CodeSpec;
-use xorbas::sim::codecs::CodecInstance;
+use xorbas::codes::{CodeSpec, CodecInstance};
 use xorbas::sim::{
     run_scale_scenario, PercentileSummary, ScaleScenario, ServePolicy, ServingSummary,
     RASHMI_SINGLE_BLOCK_RECOVERY_FRACTION,
