@@ -307,10 +307,15 @@ fn run_spec(args: &Args, choice: SpecChoice) -> Result<SpecResult, AnyError> {
     let mut buf = Vec::new();
     let kill_at = if args.kill { args.ops / 2 } else { usize::MAX };
     let victim = args.servers - 1;
+    // Repair time runs from the loss to full redundancy: from the kill,
+    // or from agent start when nothing is killed. The agent repairs
+    // while the op loop is still running.
+    let mut repair_start = Instant::now();
 
     for op in 0..args.ops {
         if op == kill_at {
             cluster.servers[victim].kill();
+            repair_start = Instant::now();
             result.killed_server = Some(victim);
         }
         let is_write =
@@ -348,7 +353,6 @@ fn run_spec(args: &Args, choice: SpecChoice) -> Result<SpecResult, AnyError> {
     result.write_latency_us = write_lat.summary();
 
     // ---- Repair convergence. ---------------------------------------
-    let repair_start = Instant::now();
     result.repair_converged = agent.wait_until_repaired(Duration::from_secs(120));
     result.repair_secs = repair_start.elapsed().as_secs_f64();
 

@@ -12,19 +12,22 @@
 //! measured number rather than a simulated one.
 //!
 //! Concurrency is throttled: at most `max_concurrent_repairs` stripes
-//! are in flight at once (scoped worker threads, each with its own
-//! connections and scratch), mirroring the simulator's repair-slot
-//! model and HDFS-RAID's bounded reconstruction parallelism.
+//! are in flight at once, mirroring the simulator's repair-slot model
+//! and HDFS-RAID's bounded reconstruction parallelism. A scan round that
+//! finds losses starts that many scoped workers; each repairs stripe
+//! after stripe with its own lane scratch and server connections, and
+//! all of it is dropped when the round ends.
 
 use crate::chunk_store::ChunkStore;
-use crate::client::{RetryPolicy, SessionCache};
+use crate::client::{NodeConn, RetryPolicy, SessionCache};
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
 use crate::lock;
 use crate::protocol::chunk_digest;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,6 +115,7 @@ struct RepairStats {
     bytes_written: AtomicU64,
     failed_attempts: AtomicU64,
     rounds: AtomicU64,
+    connections_opened: AtomicU64,
     scrub_cycles: AtomicU64,
     scrub_chunks: AtomicU64,
     scrub_bytes: AtomicU64,
@@ -135,6 +139,10 @@ pub struct RepairStatsSnapshot {
     pub failed_attempts: u64,
     /// Scan rounds completed.
     pub rounds: u64,
+    /// Connections repair workers dialed to chunk servers. A worker
+    /// keeps its connections for the whole scan round, so this grows
+    /// with rounds × servers touched, not with chunks fetched.
+    pub connections_opened: u64,
     /// Full scrub passes over every configured store.
     pub scrub_cycles: u64,
     /// Chunks whose digest the scrubber re-verified.
@@ -217,6 +225,7 @@ impl RepairAgent {
             bytes_written: s.bytes_written.load(Ordering::Relaxed),
             failed_attempts: s.failed_attempts.load(Ordering::Relaxed),
             rounds: s.rounds.load(Ordering::Relaxed),
+            connections_opened: s.connections_opened.load(Ordering::Relaxed),
             scrub_cycles: s.scrub_cycles.load(Ordering::Relaxed),
             scrub_chunks: s.scrub_chunks.load(Ordering::Relaxed),
             scrub_bytes: s.scrub_bytes.load(Ordering::Relaxed),
@@ -297,23 +306,33 @@ fn agent_loop(
             sleep_with_stop(cfg.scan_interval, stop);
             continue;
         }
-        // Throttled fan-out: at most `max_concurrent_repairs` stripes
-        // in flight, each worker with private scratch and connections.
-        for batch in stripes.chunks(cfg.max_concurrent_repairs.max(1)) {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::scope(|s| {
-                for &stripe in batch {
-                    s.spawn(move || {
-                        let mut worker = RepairWorker {
-                            codec,
-                            dir,
-                            sessions,
-                            cfg,
-                            scratch: Vec::new(),
-                            conns: Vec::new(),
-                            unavailable: Vec::new(),
+        // Throttled fan-out: `max_concurrent_repairs` workers live for
+        // this round and pull stripes off a shared cursor, so at most
+        // that many stripes are in flight and each worker keeps its
+        // scratch and server connections from one stripe to the next.
+        // They are dropped when the round ends: an idle agent holds no
+        // scratch and no sockets.
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..cfg.max_concurrent_repairs.clamp(1, stripes.len()) {
+                s.spawn(|| {
+                    let mut worker = RepairWorker {
+                        codec,
+                        dir,
+                        sessions,
+                        cfg,
+                        scratch: Vec::new(),
+                        conns: Conns {
+                            slots: Vec::new(),
+                            retry: &cfg.retry,
+                            opened: &stats.connections_opened,
+                        },
+                        unavailable: Vec::new(),
+                    };
+                    while !stop.load(Ordering::SeqCst) {
+                        let Some(&stripe) = stripes.get(next.fetch_add(1, Ordering::Relaxed))
+                        else {
+                            break;
                         };
                         match worker.repair_stripe(stripe) {
                             Ok(Some(outcome)) => {
@@ -337,10 +356,10 @@ fn agent_loop(
                                 stats.failed_attempts.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                    });
-                }
-            });
-        }
+                    }
+                });
+            }
+        });
         stats.rounds.fetch_add(1, Ordering::Relaxed);
         sleep_with_stop(cfg.scan_interval, stop);
     }
@@ -469,15 +488,53 @@ struct RepairOutcome {
     light: bool,
 }
 
-/// Per-stripe repair executor (one per in-flight repair).
+/// Repair executor for one scan round: it repairs stripe after stripe,
+/// reusing its lane scratch and its per-server connections, and is
+/// dropped with them when the round ends.
 struct RepairWorker<'a> {
     codec: &'a CodecInstance,
     dir: &'a Arc<Mutex<Directory>>,
     sessions: &'a SessionCache,
     cfg: &'a RepairAgentConfig,
     scratch: Vec<Vec<u8>>,
-    conns: Vec<Option<crate::client::NodeConn>>,
+    conns: Conns<'a>,
     unavailable: Vec<usize>,
+}
+
+/// A worker's connections, one slot per server id.
+struct Conns<'a> {
+    slots: Vec<Option<NodeConn>>,
+    retry: &'a RetryPolicy,
+    opened: &'a AtomicU64,
+}
+
+impl Conns<'_> {
+    /// Runs one request on the connection to `sid`, dialing it if the
+    /// slot is empty. Any error drops the connection: a request that
+    /// timed out may still be answered later, and a reply carries no
+    /// stripe or lane, so a reused socket could hand that late reply to
+    /// the next request.
+    fn request<T>(
+        &mut self,
+        sid: ServerId,
+        addr: SocketAddr,
+        op: impl FnOnce(&mut NodeConn) -> Result<T>,
+    ) -> Result<T> {
+        let dialing = !matches!(self.slots.get(sid), Some(Some(_)));
+        let res = crate::client::ensure_conn(&mut self.slots, sid, addr, self.retry)
+            .inspect(|_| {
+                if dialing {
+                    self.opened.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .and_then(op);
+        if res.is_err() {
+            if let Some(slot) = self.slots.get_mut(sid) {
+                *slot = None;
+            }
+        }
+        res
+    }
 }
 
 impl RepairWorker<'_> {
@@ -500,8 +557,10 @@ impl RepairWorker<'_> {
 
         let mut fetched = 0u64;
         // xlint::hot-path(repair-stream) begin
-        // Stream-in: fetch exactly the lanes the plan reads. Buffers
-        // and connections are reused; this loop must not allocate.
+        // Stream-in: fetch exactly the lanes the plan reads. The lane
+        // buffers and server connections belong to the worker and are
+        // reused by every stripe it repairs in this scan round; this
+        // loop must not allocate.
         for lane in 0..n {
             let needed = session.plan().tasks.iter().any(|t| t.reads.contains(&lane))
                 && !session.missing().contains(&lane);
@@ -544,12 +603,9 @@ impl RepairWorker<'_> {
                 .get(lane)
                 .ok_or(NodeError::Malformed("repaired lane missing"))?;
             let digest = chunk_digest(payload);
-            crate::client::ensure_conn(&mut self.conns, new_sid, addr, &self.cfg.retry)?.put(
-                stripe,
-                lane as u32,
-                digest,
-                payload,
-            )?;
+            self.conns.request(new_sid, addr, |c| {
+                c.put(stripe, lane as u32, digest, payload)
+            })?;
             lock(self.dir).reassign(stripe, lane as u32, new_sid)?;
             written += self.cfg.chunk_bytes as u64;
             repaired += 1;
@@ -582,14 +638,139 @@ impl RepairWorker<'_> {
             }
             (sid, addr)
         };
-        let res = crate::client::ensure_conn(&mut self.conns, sid, addr, &self.cfg.retry)
-            .and_then(|c| c.get_chunk(stripe, lane, out))
-            .map(|_| ());
-        if res.is_err() {
-            if let Some(slot) = self.conns.get_mut(sid) {
-                *slot = None;
-            }
+        self.conns
+            .request(sid, addr, |c| c.get_chunk(stripe, lane, out).map(|_| ()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ClusterClient;
+    use crate::fault::FaultPlan;
+    use crate::server::{ChunkServer, ServerConfig};
+    use xorbas_core::CodeSpec;
+
+    const CHUNK: usize = 16 * 1024;
+
+    fn boot(n: usize, tag: &str) -> (Vec<ChunkServer>, Vec<PathBuf>, Vec<SocketAddr>) {
+        let dirs: Vec<PathBuf> = (0..n)
+            .map(|i| {
+                std::env::temp_dir().join(format!("xorbas_repair_{tag}_{}_{i}", std::process::id()))
+            })
+            .collect();
+        let servers: Vec<ChunkServer> = dirs
+            .iter()
+            .map(|d| {
+                let _ = std::fs::remove_dir_all(d);
+                ChunkServer::start(ServerConfig::new(d.clone())).unwrap()
+            })
+            .collect();
+        let addrs = servers.iter().map(ChunkServer::addr).collect();
+        (servers, dirs, addrs)
+    }
+
+    fn teardown(servers: Vec<ChunkServer>, dirs: &[PathBuf]) {
+        for s in servers {
+            s.shutdown();
         }
-        res
+        for d in dirs {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    /// A put whose ack never comes in time leaves a late reply queued on
+    /// its socket; the worker must drop that connection and dial afresh.
+    #[test]
+    fn a_failed_request_drops_its_connection() {
+        let _guard = lock(&fault::TEST_PLAN_LOCK);
+        let (servers, dirs, addrs) = boot(1, "drop");
+        let retry = RetryPolicy {
+            op_timeout: Duration::from_millis(50),
+            ..RetryPolicy::default()
+        };
+        let opened = AtomicU64::new(0);
+        let mut conns = Conns {
+            slots: Vec::new(),
+            retry: &retry,
+            opened: &opened,
+        };
+        let payload = vec![0x5Au8; CHUNK];
+        let digest = chunk_digest(&payload);
+
+        fault::arm(FaultPlan::new(1).with_param(Site::ServeStall, 1000, 300));
+        let put = conns.request(0, addrs[0], |c| c.put(9, 3, digest, &payload));
+        fault::disarm();
+        assert!(put.is_err(), "the stalled ack must time out");
+        assert!(
+            conns.slots[0].is_none(),
+            "a failed put drops its connection"
+        );
+
+        // The next request dials a fresh socket and gets its own reply.
+        let mut out = Vec::new();
+        conns
+            .request(0, addrs[0], |c| c.get_chunk(9, 3, &mut out))
+            .unwrap();
+        assert_eq!(out, payload);
+        assert_eq!(opened.load(Ordering::Relaxed), 2);
+        teardown(servers, &dirs);
+    }
+
+    /// Fetches and puts time out on stalled replies while the round's
+    /// workers go on reusing their connections; the agent still
+    /// converges and every byte reads back.
+    #[test]
+    fn repair_converges_through_stalled_replies() {
+        let _guard = lock(&fault::TEST_PLAN_LOCK);
+        let spec = CodeSpec::LRC_10_6_5;
+        let (servers, dirs, addrs) = boot(5, "stall");
+        let directory = Arc::new(Mutex::new(Directory::new(&addrs, 5, 7)));
+        let sessions = SessionCache::default();
+        let mut client = ClusterClient::new(
+            CodecInstance::build(spec).unwrap(),
+            CHUNK,
+            Arc::clone(&directory),
+            RetryPolicy::default(),
+            sessions.clone(),
+        );
+        let data: Vec<u8> = (0..12 * spec.data_blocks() * CHUNK)
+            .map(|i| (i.wrapping_mul(2654435761) >> 16) as u8)
+            .collect();
+        let manifest = client.put(&data).unwrap();
+        assert_eq!(manifest.stripes.len(), 12);
+        for s in &manifest.stripes {
+            lock(&directory).report_corrupt(s.id, 0);
+        }
+
+        let plan = fault::arm(FaultPlan::new(3).with_param(Site::ServeStall, 150, 250));
+        let agent = RepairAgent::start(
+            CodecInstance::build(spec).unwrap(),
+            Arc::clone(&directory),
+            sessions,
+            RepairAgentConfig {
+                retry: RetryPolicy {
+                    op_timeout: Duration::from_millis(100),
+                    ..RetryPolicy::default()
+                },
+                ..RepairAgentConfig::new(CHUNK)
+            },
+        )
+        .unwrap();
+        let converged = agent.wait_until_repaired(Duration::from_secs(60));
+        let stalls = plan.counters()[Site::ServeStall as usize].2;
+        let stats = agent.stats();
+        agent.shutdown();
+        fault::disarm();
+
+        assert!(converged, "repair must converge under stalled acks");
+        assert!(
+            stalls > 0 && stats.failed_attempts > 0,
+            "no request timed out"
+        );
+        let mut buf = Vec::new();
+        client.get(&manifest, &mut buf).unwrap();
+        assert!(buf == data, "bit-identical after repair");
+        teardown(servers, &dirs);
     }
 }

@@ -296,6 +296,60 @@ fn lrc_light_repair_moves_fewer_bytes_than_rs() {
     assert!(fetched[0] < fetched[1]);
 }
 
+/// A repair worker lives for the whole scan round: it keeps one
+/// connection per server it talks to across every stripe it repairs,
+/// instead of dialing each source and replacement again per stripe.
+#[test]
+fn repair_workers_reuse_connections_across_stripes() {
+    let spec = CodeSpec::LRC_10_6_5;
+    let cluster = Cluster::boot(5, "reuse");
+    let mut client = cluster.client(spec);
+    let data = test_file(8 * spec.data_blocks() * CHUNK);
+    let manifest = client.put(&data).unwrap();
+    assert_eq!(manifest.stripes.len(), 8);
+
+    // Every stripe loses the lanes it placed on the victim before the
+    // agent starts, so its first scan round sees all of them.
+    let victim = 4;
+    cluster.servers[victim].kill();
+    cluster.lock_dir().mark_dead(victim);
+    let lost = manifest
+        .stripes
+        .iter()
+        .flat_map(|s| &s.servers)
+        .filter(|&&sid| sid == victim)
+        .count() as u64;
+    assert!(
+        manifest.stripes.iter().all(|s| s.servers.contains(&victim)),
+        "every stripe must need repair"
+    );
+
+    let agent = cluster.agent(spec);
+    assert!(agent.wait_until_repaired(Duration::from_secs(60)));
+    let stats = settled_stats(&agent, lost);
+    agent.shutdown();
+
+    let live = cluster.servers.len() as u64 - 1;
+    let workers = RepairAgentConfig::new(CHUNK).max_concurrent_repairs as u64;
+    let fetched = stats.bytes_fetched / CHUNK as u64;
+    assert_eq!(stats.failed_attempts, 0);
+    assert!(
+        stats.connections_opened <= workers * live,
+        "{} connections for {workers} workers and {live} live servers",
+        stats.connections_opened
+    );
+    assert!(
+        stats.connections_opened < fetched,
+        "{} connections for {fetched} chunks fetched",
+        stats.connections_opened
+    );
+
+    let mut buf = Vec::new();
+    client.get(&manifest, &mut buf).unwrap();
+    assert!(buf == data, "bit-identical after repair");
+    cluster.teardown();
+}
+
 /// Regression: a light degraded repair only *reads* the failed lane's
 /// local group, so data lanes of the other group are outside the plan.
 /// The whole-file get must fetch them explicitly — before the fix they
