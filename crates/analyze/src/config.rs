@@ -91,8 +91,12 @@ impl Default for Config {
                     "serve-read".to_owned(),
                 ),
                 (
-                    "crates/node/src/repair.rs".to_owned(),
+                    "crates/node/src/lanes.rs".to_owned(),
                     "repair-stream".to_owned(),
+                ),
+                (
+                    "crates/node/src/lanes.rs".to_owned(),
+                    "repair-fetch".to_owned(),
                 ),
                 (
                     "crates/node/src/repair.rs".to_owned(),

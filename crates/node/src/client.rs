@@ -10,29 +10,31 @@
 //!
 //! **Get** reads data lanes straight from their servers, verifying the
 //! digest end to end. Any failure — connection refused, a dead server
-//! mid-read, a digest mismatch — flips the stripe to the *degraded*
-//! path: the failure pattern is looked up in a [`SessionCache`] (one
-//! [`RepairSession`] compile per pattern, replayed allocation-free
-//! thereafter), only the lanes the session's plan actually reads are
-//! fetched (an LRC light pattern touches one local group, the paper's
-//! §3.2 repair-locality argument applied to reads), and the missing
-//! lanes are reconstructed in place.
+//! mid-read, a digest mismatch — is recorded in the directory and flips
+//! the stripe to the *degraded* path: the failure pattern is looked up
+//! in a [`SessionCache`] (one [`RepairSession`] compile per pattern,
+//! replayed allocation-free thereafter), only the lanes the session's
+//! plan actually reads are fetched (an LRC light pattern touches one
+//! local group, the paper's §3.2 repair-locality argument applied to
+//! reads), and the missing lanes are reconstructed in place. The fetch
+//! and decode are the repair agent's own (the private `lanes` module).
 
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
+use crate::lanes::{self, Conns, LaneError};
 use crate::lock;
 use crate::manifest::{Manifest, StripeEntry};
 use crate::protocol::{
-    chunk_digest, write_bare, write_locator, write_put, Deadline, ErrCode, Frame, FrameReader,
-    ReadEnd, OP_DELETE, OP_GET, OP_PING,
+    chunk_digest, write_locator, write_put, Deadline, ErrCode, Frame, FrameReader, ReadEnd,
+    OP_DELETE, OP_GET,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xorbas_core::{CodecInstance, RepairSession, StripeViewMut};
+use xorbas_core::{CodecInstance, RepairSession};
 use xorbas_sim::fasthash::FastMap;
 
 /// How hard to try when a connection does not come up at once.
@@ -186,14 +188,8 @@ impl NodeConn {
     /// Fetches one chunk into `out` and verifies its digest end to end.
     pub fn get_chunk(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<u64> {
         write_locator(&mut (&self.stream), OP_GET, stripe, lane)?;
-        let Self {
-            stream,
-            reader,
-            op_timeout,
-        } = self;
-        let mut rd = &*stream;
-        match reader.read_deadline(&mut rd, None, Some(Deadline::after(*op_timeout)))? {
-            Ok(Frame::Chunk { digest, payload }) => {
+        match self.read_reply()? {
+            Frame::Chunk { digest, payload } => {
                 out.clear();
                 out.extend_from_slice(payload);
                 if chunk_digest(out) != digest {
@@ -201,10 +197,8 @@ impl NodeConn {
                 }
                 Ok(digest)
             }
-            Ok(Frame::Err { code }) => Err(remote_err(code, stripe, lane)),
-            Ok(_) => Err(NodeError::Malformed("unexpected reply to GET")),
-            Err(ReadEnd::Disconnected) => Err(NodeError::Disconnected),
-            Err(_) => Err(NodeError::Truncated { missing: 0 }),
+            Frame::Err { code } => Err(remote_err(code, stripe, lane)),
+            _ => Err(NodeError::Malformed("unexpected reply to GET")),
         }
     }
 
@@ -215,16 +209,6 @@ impl NodeConn {
             Frame::Ok => Ok(()),
             Frame::Err { code } => Err(remote_err(code, stripe, lane)),
             _ => Err(NodeError::Malformed("unexpected reply to DELETE")),
-        }
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        write_bare(&mut (&self.stream), OP_PING)?;
-        match self.read_reply()? {
-            Frame::Ok => Ok(()),
-            Frame::Err { code } => Err(NodeError::Remote(code)),
-            _ => Err(NodeError::Malformed("unexpected reply to PING")),
         }
     }
 }
@@ -330,8 +314,7 @@ pub struct ClusterClient {
     codec: CodecInstance,
     chunk_bytes: usize,
     directory: Arc<Mutex<Directory>>,
-    retry: RetryPolicy,
-    conns: Vec<Option<NodeConn>>,
+    conns: Conns,
     sessions: SessionCache,
     stripe_scratch: Vec<Vec<u8>>,
     unavailable_scratch: Vec<usize>,
@@ -350,22 +333,11 @@ impl ClusterClient {
             codec,
             chunk_bytes,
             directory,
-            retry,
-            conns: Vec::new(),
+            conns: Conns::new(retry),
             sessions,
             stripe_scratch: Vec::new(),
             unavailable_scratch: Vec::new(),
         }
-    }
-
-    /// The shared placement directory.
-    pub fn directory(&self) -> &Arc<Mutex<Directory>> {
-        &self.directory
-    }
-
-    /// The shared repair-session cache.
-    pub fn sessions(&self) -> &SessionCache {
-        &self.sessions
     }
 
     /// The codec this client stripes with.
@@ -407,7 +379,25 @@ impl ClusterClient {
     /// Streams `data` into the cluster: stripes are encoded on a
     /// pipelined encoder thread while the previous stripe's chunks are
     /// on the wire. Returns the manifest needed to read it back.
+    ///
+    /// A put that fails is never acknowledged, and the stripes it
+    /// placed are dropped from the directory, so the repair agent never
+    /// chases lanes that were never written.
     pub fn put(&mut self, data: &[u8]) -> Result<Manifest> {
+        let mut placed = Vec::new();
+        let acked = self.put_placing(data, &mut placed);
+        if acked.is_err() {
+            let mut dir = lock(&self.directory);
+            for &stripe in &placed {
+                dir.forget_stripe(stripe);
+            }
+        }
+        acked
+    }
+
+    /// [`ClusterClient::put`], noting in `placed` every stripe id it
+    /// places.
+    fn put_placing(&mut self, data: &[u8], placed: &mut Vec<u64>) -> Result<Manifest> {
         let spec = self.codec.spec();
         let k = spec.data_blocks();
         let n = spec.total_blocks();
@@ -428,7 +418,6 @@ impl ClusterClient {
         let codec = &self.codec;
         let conns = &mut self.conns;
         let dir = &self.directory;
-        let retry = &self.retry;
 
         let entries = std::thread::scope(|s| {
             s.spawn(move || {
@@ -451,11 +440,9 @@ impl ClusterClient {
                             return Err(NodeError::Malformed("encoder pipeline closed early"))
                         }
                     };
-                    let stripe_id = {
-                        let mut d = lock(dir);
-                        d.place_stripe(n)?.0
-                    };
-                    let servers = put_stripe(conns, dir, retry, stripe_id, &set)?;
+                    let stripe_id = lock(dir).place_stripe(n)?.0;
+                    placed.push(stripe_id);
+                    let servers = put_stripe(conns, dir, stripe_id, &set)?;
                     entries.push(StripeEntry {
                         id: stripe_id,
                         servers,
@@ -534,7 +521,7 @@ impl ClusterClient {
         lane: u32,
         out: &mut Vec<u8>,
     ) -> Result<ReadKind> {
-        if self.read_chunk_direct(stripe, lane, out).is_ok() {
+        if read_lane(&mut self.conns, &self.directory, stripe, lane, out).is_ok() {
             return Ok(ReadKind::Direct);
         }
         let light = self.fetch_stripe_degraded(stripe, &[lane as usize])?;
@@ -547,146 +534,92 @@ impl ClusterClient {
         Ok(ReadKind::Degraded { light })
     }
 
-    /// Direct read of `(stripe, lane)` from its assigned server,
-    /// updating the directory (dead server / corrupt chunk) on failure
-    /// so the caller can fall back to the degraded path.
-    fn read_chunk_direct(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<()> {
-        let (sid, addr) = {
-            let d = lock(&self.directory);
-            let servers = d
-                .servers_of(stripe)
-                .ok_or(NodeError::UnknownStripe(stripe))?;
-            let sid = *servers
-                .get(lane as usize)
-                .ok_or(NodeError::Malformed("lane out of range for stripe"))?;
-            if d.is_corrupt(stripe, lane) {
-                return Err(NodeError::ChunkCorrupt { stripe, lane });
-            }
-            let addr = d
-                .addr_of(sid)
-                .ok_or(NodeError::Malformed("server id out of roster"))?;
-            if !d.is_alive(sid) {
-                return Err(NodeError::ConnectFailed { addr, attempts: 0 });
-            }
-            (sid, addr)
-        };
-        let outcome = ensure_conn(&mut self.conns, sid, addr, &self.retry)
-            .and_then(|conn| conn.get_chunk(stripe, lane, out))
-            .map(|_digest| ());
-        if let Err(e) = &outcome {
-            if is_transport(e) {
-                if let Some(slot) = self.conns.get_mut(sid) {
-                    *slot = None;
-                }
-                lock(&self.directory).mark_dead(sid);
-            } else if matches!(
-                e,
-                NodeError::ChunkCorrupt { .. } | NodeError::ChunkNotFound { .. }
-            ) {
-                lock(&self.directory).report_corrupt(stripe, lane);
-            }
-        }
-        outcome
-    }
-
     /// Fills `stripe_scratch[0..k]` via direct reads; `false` means at
     /// least one lane failed and the stripe needs the degraded path.
     fn try_direct_stripe(&mut self, stripe: u64, k: usize) -> bool {
-        self.ensure_scratch();
-        for lane in 0..k {
-            let mut buf = std::mem::take(&mut self.stripe_scratch[lane]);
-            let res = self.read_chunk_direct(stripe, lane as u32, &mut buf);
-            self.stripe_scratch[lane] = buf;
-            if res.is_err() {
-                return false;
-            }
-        }
-        true
+        let Self {
+            codec,
+            directory,
+            conns,
+            stripe_scratch,
+            ..
+        } = self;
+        stripe_scratch.resize_with(codec.total_blocks(), Vec::new);
+        stripe_scratch
+            .iter_mut()
+            .take(k)
+            .enumerate()
+            .all(|(lane, buf)| read_lane(conns, directory, stripe, lane as u32, buf).is_ok())
     }
 
     /// Serves a stripe degraded: compile (or reuse) the repair session
-    /// for the current failure pattern, fetch the lanes its plan reads
-    /// plus any `targets` the plan does not cover, and reconstruct the
-    /// missing lanes in place in `stripe_scratch`. On `Ok`, every lane
-    /// in `targets` holds fresh bytes — a light plan only reads one
-    /// local group, so lanes the caller needs outside it are fetched
-    /// directly rather than left stale. Returns whether the repair ran
-    /// entirely on the light decoder.
+    /// for the current failure pattern, then fetch and decode through
+    /// [`lanes::fetch_and_decode`] into `stripe_scratch`, which leaves
+    /// every lane in `targets` fresh. A failed fetch is recorded in the
+    /// directory and the next turn runs on the grown failure pattern.
+    /// Returns whether the repair ran entirely on the light decoder.
     fn fetch_stripe_degraded(&mut self, stripe: u64, targets: &[usize]) -> Result<bool> {
-        let n = self.codec.total_blocks();
-        self.ensure_scratch();
         let mut last_err = NodeError::Malformed("degraded read did not converge");
-        // The failure pattern can grow while we fetch (another server
-        // dies); every directory update feeds back into the next turn.
         // Later turns back off briefly: transient unavailability (a
         // restarting server, an injected stall) often clears within
         // one liveness-probe round, and spinning through every attempt
         // in microseconds would burn them all before it can.
-        for attempt in 0..n + 2 {
+        for attempt in 0..self.codec.total_blocks() + 2 {
             if attempt > 0 {
                 std::thread::sleep(Duration::from_millis(4 * (attempt as u64).min(10)));
             }
-            let mut unavailable = std::mem::take(&mut self.unavailable_scratch);
-            lock(&self.directory).unavailable_lanes(stripe, &mut unavailable)?;
-
-            let session = match self.sessions.get(&self.codec, &unavailable) {
-                Ok(s) => s,
-                Err(e) => {
-                    self.unavailable_scratch = unavailable;
-                    return Err(e);
-                }
-            };
-
-            // Fetch what the plan reads plus the caller's targets the
-            // plan does not cover; missing lanes are reconstructed
-            // locally, lanes neither read nor targeted are never
-            // touched (and stay stale — callers must not read them).
-            let mut fetch_ok = true;
-            for lane in 0..n {
-                let needed = (session.plan().tasks.iter().any(|t| t.reads.contains(&lane))
-                    || targets.contains(&lane))
-                    && !session.missing().contains(&lane);
-                if !needed {
-                    continue;
-                }
-                let mut buf = std::mem::take(&mut self.stripe_scratch[lane]);
-                let res = self.read_chunk_direct(stripe, lane as u32, &mut buf);
-                self.stripe_scratch[lane] = buf;
-                if let Err(e) = res {
-                    last_err = e;
-                    fetch_ok = false;
-                    break;
-                }
+            lock(&self.directory).unavailable_lanes(stripe, &mut self.unavailable_scratch)?;
+            let session = self.sessions.get(&self.codec, &self.unavailable_scratch)?;
+            let Self {
+                chunk_bytes,
+                directory,
+                conns,
+                stripe_scratch,
+                ..
+            } = self;
+            let decoded = lanes::fetch_and_decode(
+                &session,
+                targets,
+                *chunk_bytes,
+                stripe_scratch,
+                |l, buf| conns.fetch_lane(directory, stripe, l, buf),
+            );
+            match decoded {
+                Ok(_) => return Ok(session.plan().is_light()),
+                Err(e) => last_err = record_failure(directory, e),
             }
-            self.unavailable_scratch = unavailable;
-            if !fetch_ok {
-                continue;
-            }
-
-            // All source lanes are in place: reconstruct the pattern.
-            for lane in &mut self.stripe_scratch {
-                lane.resize(self.chunk_bytes, 0);
-            }
-            let mut refs: Vec<&mut [u8]> = self
-                .stripe_scratch
-                .iter_mut()
-                .map(Vec::as_mut_slice)
-                .collect();
-            let mut view = StripeViewMut::new(&mut refs, session.missing())?;
-            session.repair(&mut view)?;
-            return Ok(session.plan().is_light());
         }
         Err(last_err)
     }
+}
 
-    /// Sizes the stripe scratch to the codec's geometry.
-    fn ensure_scratch(&mut self) {
-        let n = self.codec.total_blocks();
-        self.stripe_scratch.resize_with(n, Vec::new);
-        for lane in &mut self.stripe_scratch {
-            lane.resize(self.chunk_bytes, 0);
-        }
+/// Reads `(stripe, lane)` straight from its server, recording a failure
+/// in the directory so the caller can fall back to the degraded path.
+fn read_lane(
+    conns: &mut Conns,
+    dir: &Mutex<Directory>,
+    stripe: u64,
+    lane: u32,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    conns
+        .fetch_lane(dir, stripe, lane, out)
+        .map_err(|e| record_failure(dir, e))
+}
+
+/// The client's bookkeeping for a failed lane fetch: a server that
+/// failed in transport is marked dead, a corrupt or missing chunk is
+/// reported corrupt, so the next failure pattern includes the lane.
+fn record_failure(dir: &Mutex<Directory>, e: LaneError) -> NodeError {
+    match (&e.error, e.server) {
+        (error, Some(sid)) if is_transport(error) => lock(dir).mark_dead(sid),
+        (
+            &NodeError::ChunkCorrupt { stripe, lane } | &NodeError::ChunkNotFound { stripe, lane },
+            _,
+        ) => lock(dir).report_corrupt(stripe, lane),
+        _ => {}
     }
+    e.error
 }
 
 /// Fills a buffer set with stripe `stripe_idx`'s data (zero-padded),
@@ -732,33 +665,12 @@ fn fill_and_encode(
     Ok(())
 }
 
-/// Returns (creating if needed) the cached connection to `sid`.
-pub(crate) fn ensure_conn<'a>(
-    conns: &'a mut Vec<Option<NodeConn>>,
-    sid: ServerId,
-    addr: SocketAddr,
-    retry: &RetryPolicy,
-) -> Result<&'a mut NodeConn> {
-    if conns.len() <= sid {
-        conns.resize_with(sid + 1, || None);
-    }
-    let slot = conns
-        .get_mut(sid)
-        .ok_or(NodeError::Malformed("server id out of roster"))?;
-    if slot.is_none() {
-        *slot = Some(NodeConn::connect(addr, retry)?);
-    }
-    slot.as_mut()
-        .ok_or(NodeError::Malformed("connection slot empty"))
-}
-
 /// Streams one encoded stripe to its assigned servers, failing over to
 /// a replacement placement when a server dies mid-put. Returns the
 /// final lane→server assignment.
 fn put_stripe(
-    conns: &mut Vec<Option<NodeConn>>,
+    conns: &mut Conns,
     dir: &Arc<Mutex<Directory>>,
-    retry: &RetryPolicy,
     stripe: u64,
     set: &BufSet,
 ) -> Result<Vec<ServerId>> {
@@ -770,8 +682,8 @@ fn put_stripe(
     };
     for lane in 0..set.lanes.len() {
         // Fault site: the put pipeline dies mid-stripe, as if the
-        // writer thread was killed. The file is never acknowledged —
-        // the stripes already placed are harmless WAL ghosts.
+        // writer thread was killed. The file is never acknowledged and
+        // `put` drops the stripes it placed.
         if fault::hit(Site::CrashPut) {
             return Err(NodeError::Injected("crash-put"));
         }
@@ -793,8 +705,7 @@ fn put_stripe(
                     .addr_of(sid)
                     .ok_or(NodeError::Malformed("server id out of roster"))?
             };
-            let attempt = ensure_conn(conns, sid, addr, retry)
-                .and_then(|c| c.put(stripe, lane as u32, digest, payload));
+            let attempt = conns.request(sid, addr, |c| c.put(stripe, lane as u32, digest, payload));
             // A server that answered "I/O error" (e.g. a torn chunk
             // write) is alive but could not take the chunk: fail the
             // lane over to another server without declaring it dead.
@@ -804,9 +715,6 @@ fn put_stripe(
                 Err(e) if is_transport(&e) || disk_failed => {
                     let mut d = lock(dir);
                     if !disk_failed {
-                        if let Some(slot) = conns.get_mut(sid) {
-                            *slot = None;
-                        }
                         d.mark_dead(sid);
                     }
                     failovers += 1;

@@ -89,7 +89,9 @@ impl Directory {
     /// reassignment, and corruption report is reapplied in order, a
     /// torn tail record is truncated (not fatal), and every logged
     /// manifest is returned so the caller can re-serve the files it
-    /// had acknowledged. `addrs` supplies the roster's *current*
+    /// had acknowledged. Only stripes some replayed manifest names are
+    /// kept: the rest belong to puts that were never acknowledged, and
+    /// their ids stay burned. `addrs` supplies the roster's *current*
     /// addresses (servers restart on fresh ports; [`ServerId`] is the
     /// stable identity) and must match the logged roster size; `racks`
     /// and `seed` are taken from the log header so placement geometry
@@ -141,6 +143,12 @@ impl Directory {
                 WalRecord::Manifest(m) => manifests.push(m),
             }
         }
+        let named: FastSet<u64> = manifests
+            .iter()
+            .flat_map(|m| m.stripes.iter().map(|e| e.id))
+            .collect();
+        dir.stripes.retain(|id, _| named.contains(id));
+        dir.corrupt.retain(|(id, _)| named.contains(id));
         dir.wal = Some(DirectoryWal::open_append(wal_path)?);
         Ok((dir, manifests))
     }
@@ -172,16 +180,6 @@ impl Directory {
     /// Number of servers in the roster (alive or not).
     pub fn server_count(&self) -> usize {
         self.servers.len()
-    }
-
-    /// Number of servers currently believed alive.
-    pub fn alive_count(&self) -> usize {
-        self.servers.iter().filter(|s| s.alive).count()
-    }
-
-    /// The roster entry for `id`.
-    pub fn server(&self, id: ServerId) -> Option<&ServerInfo> {
-        self.servers.get(id)
     }
 
     /// The whole roster, indexed by [`ServerId`].
@@ -258,14 +256,23 @@ impl Directory {
         let id = self.next_stripe_id();
         // Log before committing: if the append fails the put aborts and
         // the stripe id is simply burned (a crash between the append
-        // and the chunk writes leaves the same harmless ghost record —
-        // no manifest ever references it).
+        // and the chunk writes leaves a record no manifest names, which
+        // replay drops).
         if let Some(wal) = self.wal.as_mut() {
             wal.append_stripe(id, &out)?;
         }
         let entry = self.stripes.entry(id).or_default();
         *entry = out;
         Ok((id, entry))
+    }
+
+    /// Drops `stripe` and its corruption reports — a failed put's
+    /// stripes. Nothing is logged: replay drops stripes no manifest
+    /// names, and the id allocator stays past the dropped id.
+    pub fn forget_stripe(&mut self, stripe: u64) {
+        if self.stripes.remove(&stripe).is_some() {
+            self.corrupt.retain(|&(id, _)| id != stripe);
+        }
     }
 
     /// The lane→server assignment of `stripe`.

@@ -12,6 +12,7 @@
 //! | [`chunk_store`] | per-server on-disk chunk files with digest verification |
 //! | [`server`] | the chunk-server daemon: accept loop, per-connection threads, kill switch |
 //! | [`client`] | connection with retry/backoff, streaming put (encode pipelined against socket writes), direct + degraded get |
+//! | `lanes` (private) | lane I/O the client and the repair agent share: one connection cache, one lane fetch, one fetch-and-decode |
 //! | [`manifest`] | the binary stripe manifest a put returns and a get consumes |
 //! | [`directory`] | the placement directory: rack-aware chunk→server map, liveness, loss scan — WAL-backed when opened persistent |
 //! | [`wal`] | the directory's append-only checksummed log: placements, repairs, manifests; torn-tail-tolerant replay |
@@ -37,6 +38,7 @@ pub mod client;
 pub mod directory;
 pub mod error;
 pub mod fault;
+mod lanes;
 pub mod manifest;
 pub mod protocol;
 pub mod repair;

@@ -2,10 +2,12 @@
 //!
 //! A polling thread scans the directory for lost chunks (dead servers,
 //! corrupt reports), groups them by stripe, and repairs each stripe by
-//! replaying a cached [`RepairSession`](xorbas_core::RepairSession): fetch exactly the lanes the
-//! session's plan reads, reconstruct the missing ones, and push them to
-//! replacement servers chosen by the rack-aware placement policy. For
-//! LRC stripes with a single loss this is the paper's *light* repair —
+//! replaying a cached [`RepairSession`](xorbas_core::RepairSession):
+//! fetch exactly the lanes the session's plan reads, reconstruct the
+//! missing ones (the fetch-and-decode a degraded read runs too, in the
+//! private `lanes` module), and push them to replacement servers chosen
+//! by the rack-aware placement policy. For LRC stripes with a single
+//! loss this is the paper's *light* repair —
 //! the agent fetches one local group (5 chunks for LRC(10,6,5)) instead
 //! of the `k = 10` an RS code needs, and the stats it keeps
 //! ([`RepairStatsSnapshot::bytes_fetched`]) make that difference a
@@ -19,19 +21,19 @@
 //! all of it is dropped when the round ends.
 
 use crate::chunk_store::ChunkStore;
-use crate::client::{NodeConn, RetryPolicy, SessionCache};
+use crate::client::{RetryPolicy, SessionCache};
 use crate::directory::{Directory, ServerId};
 use crate::error::{NodeError, Result};
 use crate::fault::{self, Site};
+use crate::lanes::{self, Conns};
 use crate::lock;
 use crate::protocol::chunk_digest;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xorbas_core::{CodecInstance, StripeViewMut};
+use xorbas_core::CodecInstance;
 
 /// Tunables for the agent.
 #[derive(Debug, Clone)]
@@ -69,7 +71,7 @@ impl RepairAgentConfig {
     }
 }
 
-/// Tunables for the background CRC scrubber.
+/// Which chunk stores the background CRC scrubber walks.
 ///
 /// The scrubber is colocated with the servers in this prototype (one
 /// process hosts the whole cluster), so it reads chunk files straight
@@ -80,30 +82,22 @@ impl RepairAgentConfig {
 pub struct ScrubConfig {
     /// `(server id, chunk-store root)` pairs the scrubber walks.
     pub stores: Vec<(ServerId, PathBuf)>,
-    /// Verification byte-rate cap. After each chunk the scrubber
-    /// sleeps `chunk_len / rate` so a full cycle over `B` stored bytes
-    /// takes at least `B / rate` seconds.
-    pub rate_bytes_per_sec: u64,
-    /// Pause between full cycles over every store.
-    pub cycle_pause: Duration,
 }
 
 impl ScrubConfig {
-    /// A config scrubbing `stores`, with the rate taken from the
-    /// `XORBAS_NODE_SCRUB_MIBPS` environment knob (MiB/s, default 64).
+    /// A config scrubbing `stores`.
     pub fn new(stores: Vec<(ServerId, PathBuf)>) -> Self {
-        let mibps = std::env::var("XORBAS_NODE_SCRUB_MIBPS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(64);
-        Self {
-            stores,
-            rate_bytes_per_sec: mibps.saturating_mul(1024 * 1024),
-            cycle_pause: Duration::from_millis(50),
-        }
+        Self { stores }
     }
 }
+
+/// The scrubber's verification byte-rate cap: after each chunk it
+/// sleeps `chunk_len / rate`, so a full cycle over `B` stored bytes
+/// takes at least `B / rate` seconds.
+const SCRUB_BYTES_PER_SEC: u64 = 64 * 1024 * 1024;
+
+/// The scrubber's pause between full cycles over every store.
+const SCRUB_CYCLE_PAUSE: Duration = Duration::from_millis(50);
 
 /// Monotonic counters the agent maintains (lock-free reads).
 #[derive(Debug, Default)]
@@ -251,13 +245,20 @@ impl RepairAgent {
         }
     }
 
-    /// Stops the scan and scrub threads and joins them.
-    pub fn shutdown(mut self) {
+    /// Stops the scan and scrub threads, joins them, and returns the
+    /// final counters. A worker finishes the stripe it holds before it
+    /// stops, so every repair the directory shows is counted here.
+    pub fn shutdown(mut self) -> RepairStatsSnapshot {
+        self.stop_and_join();
+        self.stats()
+    }
+
+    fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scrub_handle.take() {
+        for h in [self.handle.take(), self.scrub_handle.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = h.join();
         }
     }
@@ -265,13 +266,7 @@ impl RepairAgent {
 
 impl Drop for RepairAgent {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scrub_handle.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -320,13 +315,9 @@ fn agent_loop(
                         codec,
                         dir,
                         sessions,
-                        cfg,
+                        chunk_bytes: cfg.chunk_bytes,
                         scratch: Vec::new(),
-                        conns: Conns {
-                            slots: Vec::new(),
-                            retry: &cfg.retry,
-                            opened: &stats.connections_opened,
-                        },
+                        conns: Conns::new(cfg.retry.clone()),
                         unavailable: Vec::new(),
                     };
                     while !stop.load(Ordering::SeqCst) {
@@ -334,7 +325,11 @@ fn agent_loop(
                         else {
                             break;
                         };
-                        match worker.repair_stripe(stripe) {
+                        let repaired = worker.repair_stripe(stripe);
+                        stats
+                            .connections_opened
+                            .fetch_add(std::mem::take(&mut worker.conns.opened), Ordering::Relaxed);
+                        match repaired {
                             Ok(Some(outcome)) => {
                                 stats
                                     .chunks_repaired
@@ -372,13 +367,12 @@ fn agent_loop(
 /// loopback connect returns immediately, so this sweep costs
 /// microseconds per server.
 fn probe_liveness(dir: &Arc<Mutex<Directory>>) {
-    let mut roster: Vec<(usize, std::net::SocketAddr, bool)> = Vec::new();
-    {
-        let d = lock(dir);
-        for (sid, info) in d.roster().iter().enumerate() {
-            roster.push((sid, info.addr, info.alive));
-        }
-    }
+    let roster: Vec<(usize, std::net::SocketAddr, bool)> = lock(dir)
+        .roster()
+        .iter()
+        .enumerate()
+        .map(|(sid, info)| (sid, info.addr, info.alive))
+        .collect();
     for (sid, addr, was_alive) in roster {
         let answers =
             std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(250)).is_ok();
@@ -406,7 +400,6 @@ fn scrub_loop(
             stores.push((*sid, s));
         }
     }
-    let rate = cfg.rate_bytes_per_sec.max(1);
     let mut chunks: Vec<(u64, u32)> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
@@ -457,8 +450,8 @@ fn scrub_loop(
                 }
                 // Throttle: a chunk of `L` bytes buys `L / rate`
                 // seconds of sleep, so sustained read bandwidth stays
-                // at or under `rate_bytes_per_sec`.
-                let nanos = (buf.len() as u64).saturating_mul(1_000_000_000) / rate;
+                // at or under `SCRUB_BYTES_PER_SEC`.
+                let nanos = (buf.len() as u64).saturating_mul(1_000_000_000) / SCRUB_BYTES_PER_SEC;
                 if nanos > 0 {
                     sleep_with_stop(Duration::from_nanos(nanos), stop);
                 }
@@ -466,7 +459,7 @@ fn scrub_loop(
             // xlint::hot-path(scrub-stream) end
         }
         stats.scrub_cycles.fetch_add(1, Ordering::Relaxed);
-        sleep_with_stop(cfg.cycle_pause, stop);
+        sleep_with_stop(SCRUB_CYCLE_PAUSE, stop);
     }
 }
 
@@ -495,89 +488,35 @@ struct RepairWorker<'a> {
     codec: &'a CodecInstance,
     dir: &'a Arc<Mutex<Directory>>,
     sessions: &'a SessionCache,
-    cfg: &'a RepairAgentConfig,
+    chunk_bytes: usize,
     scratch: Vec<Vec<u8>>,
-    conns: Conns<'a>,
+    conns: Conns,
     unavailable: Vec<usize>,
-}
-
-/// A worker's connections, one slot per server id.
-struct Conns<'a> {
-    slots: Vec<Option<NodeConn>>,
-    retry: &'a RetryPolicy,
-    opened: &'a AtomicU64,
-}
-
-impl Conns<'_> {
-    /// Runs one request on the connection to `sid`, dialing it if the
-    /// slot is empty. Any error drops the connection: a request that
-    /// timed out may still be answered later, and a reply carries no
-    /// stripe or lane, so a reused socket could hand that late reply to
-    /// the next request.
-    fn request<T>(
-        &mut self,
-        sid: ServerId,
-        addr: SocketAddr,
-        op: impl FnOnce(&mut NodeConn) -> Result<T>,
-    ) -> Result<T> {
-        let dialing = !matches!(self.slots.get(sid), Some(Some(_)));
-        let res = crate::client::ensure_conn(&mut self.slots, sid, addr, self.retry)
-            .inspect(|_| {
-                if dialing {
-                    self.opened.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .and_then(op);
-        if res.is_err() {
-            if let Some(slot) = self.slots.get_mut(sid) {
-                *slot = None;
-            }
-        }
-        res
-    }
 }
 
 impl RepairWorker<'_> {
     /// Repairs every lost lane of `stripe`. `Ok(None)` means the
     /// stripe healed on its own (nothing lost by the time we looked).
+    /// A failed fetch leaves the directory as it is: the next scan
+    /// round retries the stripe.
     fn repair_stripe(&mut self, stripe: u64) -> Result<Option<RepairOutcome>> {
-        let n = self.codec.total_blocks();
-        let mut unavailable = std::mem::take(&mut self.unavailable);
-        lock(self.dir).unavailable_lanes(stripe, &mut unavailable)?;
-        if unavailable.is_empty() {
-            self.unavailable = unavailable;
+        lock(self.dir).unavailable_lanes(stripe, &mut self.unavailable)?;
+        if self.unavailable.is_empty() {
             return Ok(None);
         }
-
-        let session = self.sessions.get(self.codec, &unavailable)?;
-        self.scratch.resize_with(n, Vec::new);
-        for lane in &mut self.scratch {
-            lane.resize(self.cfg.chunk_bytes, 0);
-        }
-
-        let mut fetched = 0u64;
-        // xlint::hot-path(repair-stream) begin
-        // Stream-in: fetch exactly the lanes the plan reads. The lane
-        // buffers and server connections belong to the worker and are
-        // reused by every stripe it repairs in this scan round; this
-        // loop must not allocate.
-        for lane in 0..n {
-            let needed = session.plan().tasks.iter().any(|t| t.reads.contains(&lane))
-                && !session.missing().contains(&lane);
-            if !needed {
-                continue;
-            }
-            let mut buf = std::mem::take(&mut self.scratch[lane]);
-            let res = self.fetch_lane(stripe, lane as u32, &mut buf);
-            self.scratch[lane] = buf;
-            res?;
-            fetched += self.cfg.chunk_bytes as u64;
-        }
-        // xlint::hot-path(repair-stream) end
-
-        let mut refs: Vec<&mut [u8]> = self.scratch.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut view = StripeViewMut::new(&mut refs, session.missing())?;
-        session.repair(&mut view)?;
+        let session = self.sessions.get(self.codec, &self.unavailable)?;
+        let Self {
+            dir,
+            chunk_bytes,
+            scratch,
+            conns,
+            ..
+        } = self;
+        let bytes_fetched =
+            lanes::fetch_and_decode(&session, &[], *chunk_bytes, scratch, |lane, buf| {
+                conns.fetch_lane(dir, stripe, lane, buf)
+            })
+            .map_err(|e| e.error)?;
 
         let mut written = 0u64;
         let mut repaired = 0u64;
@@ -586,18 +525,12 @@ impl RepairWorker<'_> {
             // and re-place. The lane stays lost and a later round
             // retries — repairs must be idempotent.
             if fault::hit(Site::CrashRepair) {
-                self.unavailable = unavailable;
                 return Err(NodeError::Injected("crash-repair"));
             }
-            let new_sid = {
-                let mut d = lock(self.dir);
-                d.choose_replacement(stripe)?
-            };
-            let addr = {
-                lock(self.dir)
-                    .addr_of(new_sid)
-                    .ok_or(NodeError::Malformed("server id out of roster"))?
-            };
+            let new_sid = lock(self.dir).choose_replacement(stripe)?;
+            let addr = lock(self.dir)
+                .addr_of(new_sid)
+                .ok_or(NodeError::Malformed("server id out of roster"))?;
             let payload = self
                 .scratch
                 .get(lane)
@@ -607,39 +540,15 @@ impl RepairWorker<'_> {
                 c.put(stripe, lane as u32, digest, payload)
             })?;
             lock(self.dir).reassign(stripe, lane as u32, new_sid)?;
-            written += self.cfg.chunk_bytes as u64;
+            written += self.chunk_bytes as u64;
             repaired += 1;
         }
-        self.unavailable = unavailable;
         Ok(Some(RepairOutcome {
             chunks: repaired,
-            bytes_fetched: fetched,
+            bytes_fetched,
             bytes_written: written,
             light: session.plan().is_light(),
         }))
-    }
-
-    /// Fetches one lane from its assigned server into `out`.
-    // xlint::hot-path(repair-fetch)
-    fn fetch_lane(&mut self, stripe: u64, lane: u32, out: &mut Vec<u8>) -> Result<()> {
-        let (sid, addr) = {
-            let d = lock(self.dir);
-            let servers = d
-                .servers_of(stripe)
-                .ok_or(NodeError::UnknownStripe(stripe))?;
-            let sid = *servers
-                .get(lane as usize)
-                .ok_or(NodeError::Malformed("lane out of range for stripe"))?;
-            let addr = d
-                .addr_of(sid)
-                .ok_or(NodeError::Malformed("server id out of roster"))?;
-            if !d.is_alive(sid) {
-                return Err(NodeError::ConnectFailed { addr, attempts: 0 });
-            }
-            (sid, addr)
-        };
-        self.conns
-            .request(sid, addr, |c| c.get_chunk(stripe, lane, out).map(|_| ()))
     }
 }
 
@@ -649,6 +558,7 @@ mod tests {
     use crate::client::ClusterClient;
     use crate::fault::FaultPlan;
     use crate::server::{ChunkServer, ServerConfig};
+    use std::net::SocketAddr;
     use xorbas_core::CodeSpec;
 
     const CHUNK: usize = 16 * 1024;
@@ -689,12 +599,7 @@ mod tests {
             op_timeout: Duration::from_millis(50),
             ..RetryPolicy::default()
         };
-        let opened = AtomicU64::new(0);
-        let mut conns = Conns {
-            slots: Vec::new(),
-            retry: &retry,
-            opened: &opened,
-        };
+        let mut conns = Conns::new(retry);
         let payload = vec![0x5Au8; CHUNK];
         let digest = chunk_digest(&payload);
 
@@ -713,7 +618,7 @@ mod tests {
             .request(0, addrs[0], |c| c.get_chunk(9, 3, &mut out))
             .unwrap();
         assert_eq!(out, payload);
-        assert_eq!(opened.load(Ordering::Relaxed), 2);
+        assert_eq!(conns.opened, 2);
         teardown(servers, &dirs);
     }
 
@@ -759,8 +664,7 @@ mod tests {
         .unwrap();
         let converged = agent.wait_until_repaired(Duration::from_secs(60));
         let stalls = plan.counters()[Site::ServeStall as usize].2;
-        let stats = agent.stats();
-        agent.shutdown();
+        let stats = agent.shutdown();
         fault::disarm();
 
         assert!(converged, "repair must converge under stalled acks");

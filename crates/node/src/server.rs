@@ -153,15 +153,16 @@ impl ChunkServer {
     }
 
     /// Abrupt failure injection: stop accepting, stop answering, drop
-    /// in-flight requests. The process keeps running; the server is
-    /// simply gone from the network within one poll interval.
+    /// in-flight requests. The process keeps running. When `kill`
+    /// returns the listener is closed, so a connect (a liveness probe
+    /// included) is refused rather than answered by a dying server.
     pub fn kill(&self) {
         self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether [`ChunkServer::kill`] (or shutdown) has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        if let Some(h) = &self.accept_handle {
+            while !h.is_finished() {
+                std::thread::sleep(self.poll_interval.min(Duration::from_millis(1)));
+            }
+        }
     }
 
     /// Graceful stop: raise the flag, join the accept loop, wait for

@@ -258,3 +258,65 @@ fn armed_fault_plan_returns_only_correct_bytes() {
     agent.shutdown();
     cluster.teardown();
 }
+
+/// A put that crashes mid-file is never acknowledged, and the stripes
+/// it placed must not outlive it: before they were dropped, a server
+/// death made their never-written lanes look lost, and the agent chased
+/// repairs whose sources did not exist. A reopened log holds no such
+/// stripe either, and the id allocator stays past every id they burned.
+#[test]
+fn failed_put_leaves_no_ghost_stripes() {
+    let _gate = PLAN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let _disarm = DisarmOnDrop;
+    let cluster = Cluster::boot(5, "ghost");
+    let spec = CodeSpec::LRC_10_6_5;
+    let n = spec.total_blocks() as u64;
+    let data = test_file(4 * spec.data_blocks() * CHUNK);
+    let addrs: Vec<_> = cluster.servers.iter().map(ChunkServer::addr).collect();
+    let wal = std::env::temp_dir().join(format!("xorbas_chaos_ghost_{}.wal", std::process::id()));
+
+    // `crash-put` fires once per lane written; find the first seed whose
+    // put gets past its first stripe and then crashes.
+    let (directory, ghosts) = (0..200u64)
+        .find_map(|seed| {
+            let _ = std::fs::remove_file(&wal);
+            let (dir, _) = Directory::open_persistent(&wal, &addrs, 5, 7).unwrap();
+            let directory = Arc::new(Mutex::new(dir));
+            let mut client = ClusterClient::new(
+                CodecInstance::build(spec).unwrap(),
+                CHUNK,
+                Arc::clone(&directory),
+                RetryPolicy::default(),
+                cluster.sessions.clone(),
+            );
+            let plan = fault::arm(FaultPlan::new(seed).with(Site::CrashPut, 20));
+            let put = client.put(&data);
+            fault::disarm();
+            let lanes_tried = plan.counters()[Site::CrashPut as usize].1;
+            (put.is_err() && lanes_tried > n).then(|| (directory, lanes_tried.div_ceil(n)))
+        })
+        .expect("some seed crashes the put after its first stripe");
+
+    let mut ids = Vec::new();
+    directory.lock().unwrap().stripe_ids(&mut ids);
+    assert!(ids.is_empty(), "a failed put left stripes {ids:?}");
+
+    // Every server holds lanes of every 16-lane stripe on this 5-server
+    // cluster, so the ghosts would have lost lanes now.
+    cluster.servers[0].kill();
+    directory.lock().unwrap().mark_dead(0);
+    let mut lost = Vec::new();
+    directory.lock().unwrap().scan_lost(&mut lost);
+    assert!(lost.is_empty(), "ghost lanes listed as lost: {lost:?}");
+
+    drop(directory);
+    let (mut reopened, manifests) = Directory::open_persistent(&wal, &addrs, 5, 7).unwrap();
+    assert!(manifests.is_empty());
+    reopened.stripe_ids(&mut ids);
+    assert!(ids.is_empty(), "replay kept ghost stripes {ids:?}");
+    let (fresh, _) = reopened.place_stripe(n as usize).unwrap();
+    assert!(fresh >= ghosts, "stripe id {fresh} reuses a ghost's id");
+
+    let _ = std::fs::remove_file(&wal);
+    cluster.teardown();
+}

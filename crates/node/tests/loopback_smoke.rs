@@ -12,7 +12,7 @@ use xorbas_core::{CodeSpec, CodecInstance};
 use xorbas_node::client::{ReadKind, SessionCache};
 use xorbas_node::{
     ChunkServer, ClusterClient, Directory, NodeConn, NodeError, RepairAgent, RepairAgentConfig,
-    RepairStatsSnapshot, RetryPolicy, ServerConfig,
+    RetryPolicy, ServerConfig,
 };
 
 const CHUNK: usize = 64 * 1024;
@@ -141,7 +141,7 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
         agent.wait_until_repaired(Duration::from_secs(60)),
         "repair must converge"
     );
-    let stats = agent.stats();
+    let stats = agent.shutdown();
     assert!(stats.chunks_repaired > 0);
     assert!(stats.bytes_written >= stats.chunks_repaired * CHUNK as u64);
     {
@@ -150,7 +150,6 @@ fn kill_one_server_zero_failed_reads_then_repair_restores_redundancy() {
         dir.scan_lost(&mut lost);
         assert!(lost.is_empty(), "no chunk may remain lost: {lost:?}");
     }
-    agent.shutdown();
 
     // After repair every chunk reads directly again (new client so no
     // stale dead-server connections linger).
@@ -213,28 +212,13 @@ fn checksum_mismatch_routes_into_degraded_read() {
     // then reads directly again.
     let agent = cluster.agent(CodeSpec::LRC_10_6_5);
     assert!(agent.wait_until_repaired(Duration::from_secs(30)));
-    assert_eq!(agent.stats().light_repairs, 1);
-    agent.shutdown();
+    assert_eq!(agent.shutdown().light_repairs, 1);
     assert!(!cluster.lock_dir().is_corrupt(stripe, 0));
     let kind = client.read_data_chunk(stripe, 0, &mut buf).unwrap();
     assert!(matches!(kind, ReadKind::Direct));
     assert_eq!(&buf[..], &data[..CHUNK]);
 
     cluster.teardown();
-}
-
-/// The agent's counters once it has counted `chunks` repairs: a worker
-/// re-places a chunk in the directory just before it reports it, so
-/// they can trail `wait_until_repaired` by a moment.
-fn settled_stats(agent: &RepairAgent, chunks: u64) -> RepairStatsSnapshot {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let stats = agent.stats();
-        if stats.chunks_repaired >= chunks || Instant::now() >= deadline {
-            return stats;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 /// Repair traffic per lost chunk, measured over real sockets. The coded
@@ -277,8 +261,7 @@ fn lrc_light_repair_moves_fewer_bytes_than_rs() {
 
         let agent = cluster.agent(spec);
         assert!(agent.wait_until_repaired(Duration::from_secs(30)), "{tag}");
-        let stats = settled_stats(&agent, lost);
-        agent.shutdown();
+        let stats = agent.shutdown();
         assert_eq!(stats.chunks_repaired, lost, "{tag}");
         assert_eq!(
             stats.bytes_fetched,
@@ -326,12 +309,12 @@ fn repair_workers_reuse_connections_across_stripes() {
 
     let agent = cluster.agent(spec);
     assert!(agent.wait_until_repaired(Duration::from_secs(60)));
-    let stats = settled_stats(&agent, lost);
-    agent.shutdown();
+    let stats = agent.shutdown();
 
     let live = cluster.servers.len() as u64 - 1;
     let workers = RepairAgentConfig::new(CHUNK).max_concurrent_repairs as u64;
     let fetched = stats.bytes_fetched / CHUNK as u64;
+    assert_eq!(stats.chunks_repaired, lost);
     assert_eq!(stats.failed_attempts, 0);
     assert!(
         stats.connections_opened <= workers * live,
